@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Allocator is a word-aligned first-fit heap over a Memory, standing in
@@ -47,13 +47,15 @@ type Allocator struct {
 	PeakLive       uint64
 
 	// OnEvent, when non-nil, observes every "alloc" and "free" with the
-	// block base and its rounded usable size. It fires *after* the
-	// allocator's own bookkeeping, so a listener that inspects the
+	// block base and its rounded usable size. It fires *after*
+	// the allocator's own bookkeeping, so a listener that inspects the
 	// allocator (Live, SizeOf) sees a consistent post-state. This is the
-	// single identity channel for heat attribution: every path that
-	// creates or retires a block — timed Malloc/Free, untimed Alloc/Free,
-	// arena carving — passes through here, so an address-reuse listener
-	// (obs.HeatMap) can never be left holding a stale identity.
+	// single identity channel for heat attribution and tier residency:
+	// every path that creates or retires a block — timed Malloc/Free,
+	// untimed Alloc/Free, arena carving — passes through here, so an
+	// address-reuse listener (obs.HeatMap, the tiering daemon) can never
+	// be left holding a stale identity. A second listener chains after
+	// the first.
 	OnEvent func(op string, a Addr, size uint64)
 
 	// Place, when non-nil, is consulted by Alloc with the rounded block
@@ -213,16 +215,27 @@ func (al *Allocator) Contains(a Addr) bool { return a >= al.base && a < al.end }
 // adversarial relocation never perturbs guest allocation addresses.
 func (al *Allocator) Range() (base, end Addr) { return al.base, al.end }
 
+// Blocks returns the number of live blocks.
+func (al *Allocator) Blocks() int { return len(al.live) }
+
+// Pins returns the number of pinned blocks. A pinned block can never be
+// freed, so the count only grows (short of a Restore): a listener that
+// caches pin status re-reads it only when the count moves.
+func (al *Allocator) Pins() int { return len(al.pinned) }
+
 // Pinned reports whether a is the base of an arena-pinned block.
 func (al *Allocator) Pinned(a Addr) bool { return al.pinned[a] }
 
-// LiveBlocks returns the sorted bases of all live blocks (test support).
+// LiveBlocks returns the bases of all live blocks in ascending order.
+// Heap digests (the oracle's and the serve plane's snapshot compare)
+// and the tiering daemon's resync walk it; the order makes every
+// consumer deterministic.
 func (al *Allocator) LiveBlocks() []Addr {
 	out := make([]Addr, 0, len(al.live))
 	for a := range al.live {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -2,8 +2,8 @@ package mem
 
 import "testing"
 
-// The page cache makes same-page access the common fast path; these
-// benchmarks watch it and the cross-page (victim/map) path separately.
+// Page-table lookups for same-page and cross-page access, watched
+// separately.
 
 var benchSink uint64
 

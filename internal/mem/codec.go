@@ -11,7 +11,7 @@ package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"memfwd/internal/wire"
 )
@@ -22,24 +22,21 @@ const pageEncBytes = 8 + PageWords*8 + PageWords/8
 
 // EncodeWire appends the snapshot's canonical encoding to w.
 func (s *MemorySnapshot) EncodeWire(w *wire.Writer) {
-	pns := make([]Addr, 0, len(s.pages))
-	for pn := range s.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	w.Grow(4 + len(pns)*pageEncBytes + 8)
-	w.U32(uint32(len(pns)))
-	for _, pn := range pns {
-		p := s.pages[pn]
-		w.U64(uint64(pn))
-		for _, word := range p.words {
+	w.Grow(4 + len(s.pages)*pageEncBytes + 8)
+	w.U32(uint32(len(s.pages)))
+	for i := range s.pages {
+		sp := &s.pages[i]
+		w.U64(uint64(sp.pn))
+		for _, word := range sp.p.words {
 			w.U64(word)
 		}
-		for _, fb := range p.fbits {
+		for _, fb := range sp.p.fbits {
 			w.U8(fb)
 		}
 	}
-	w.Int(s.pagesTouched)
+	// PagesTouched always equals the page count; it stays in the
+	// encoding so the format is unchanged.
+	w.Int(len(s.pages))
 }
 
 // DecodeMemorySnapshot reads a snapshot encoded by EncodeWire. Errors
@@ -47,32 +44,30 @@ func (s *MemorySnapshot) EncodeWire(w *wire.Writer) {
 // error.
 func DecodeMemorySnapshot(r *wire.Reader) *MemorySnapshot {
 	n := r.Count(pageEncBytes)
-	s := &MemorySnapshot{pages: make(map[Addr]*page, n)}
-	prev := Addr(0)
+	s := &MemorySnapshot{pages: make([]snapPage, n)}
 	for i := 0; i < n; i++ {
-		pn := Addr(r.U64())
+		sp := &s.pages[i]
+		sp.pn = Addr(r.U64())
 		if r.Err() != nil {
+			s.pages = s.pages[:i]
 			return s
 		}
-		if i > 0 && pn <= prev {
-			r.Failf("mem: page numbers out of order (%#x after %#x)", pn, prev)
+		if i > 0 && sp.pn <= s.pages[i-1].pn {
+			r.Failf("mem: page numbers out of order (%#x after %#x)", sp.pn, s.pages[i-1].pn)
+			s.pages = s.pages[:i]
 			return s
 		}
-		prev = pn
-		p := &page{}
-		for j := range p.words {
-			p.words[j] = r.U64()
+		for j := range sp.p.words {
+			sp.p.words[j] = r.U64()
 		}
-		for j := range p.fbits {
-			p.fbits[j] = r.U8()
+		for j := range sp.p.fbits {
+			sp.p.fbits[j] = r.U8()
 		}
-		s.pages[pn] = p
 	}
-	s.pagesTouched = r.Int()
 	// PagesTouched counts materialized pages and pages are never
 	// unmapped, so it must equal the page count exactly.
-	if r.Err() == nil && s.pagesTouched != n {
-		r.Failf("mem: pagesTouched %d != %d pages", s.pagesTouched, n)
+	if touched := r.Int(); r.Err() == nil && touched != n {
+		r.Failf("mem: pagesTouched %d != %d pages", touched, n)
 	}
 	return s
 }
@@ -90,7 +85,7 @@ func (s *AllocatorSnapshot) EncodeWire(w *wire.Writer) {
 	for size := range s.free {
 		sizes = append(sizes, size)
 	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
+	slices.Sort(sizes)
 	w.U32(uint32(len(sizes)))
 	for _, size := range sizes {
 		stack := s.free[size]
@@ -105,7 +100,7 @@ func (s *AllocatorSnapshot) EncodeWire(w *wire.Writer) {
 	for a := range s.live {
 		lives = append(lives, a)
 	}
-	sort.Slice(lives, func(i, j int) bool { return lives[i] < lives[j] })
+	slices.Sort(lives)
 	w.U32(uint32(len(lives)))
 	for _, a := range lives {
 		w.U64(uint64(a))
@@ -116,7 +111,7 @@ func (s *AllocatorSnapshot) EncodeWire(w *wire.Writer) {
 	for a := range s.pinned {
 		pins = append(pins, a)
 	}
-	sort.Slice(pins, func(i, j int) bool { return pins[i] < pins[j] })
+	slices.Sort(pins)
 	w.U32(uint32(len(pins)))
 	for _, a := range pins {
 		w.U64(uint64(a))

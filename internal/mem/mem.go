@@ -13,7 +13,8 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
+
+	"memfwd/internal/pagetab"
 )
 
 // Addr is a simulated 64-bit virtual address.
@@ -66,24 +67,12 @@ func (p *page) putFbit(w uint, b bool) {
 // Unforwarded_Write(0,0) initialization obligation from Section 3.3 of
 // the paper.
 //
-// A small direct page cache (the MRU page plus a 2-way victim file)
-// front-ends the page map: simulated programs overwhelmingly touch the
-// same page on consecutive references, so the hot word/fbit accessors
-// resolve without a map lookup or any allocation. The cache holds only
-// materialized pages (never negative "no page" results), and pages are
-// never unmapped, so cached entries cannot go stale; materialization
-// simply installs the fresh page as the MRU entry. Memory is not safe
-// for concurrent use — the cache mutates on reads.
+// Pages live in a direct-indexed page table (internal/pagetab): a
+// lookup is a short region search and three array loads — no hashing —
+// and the table walks pages in address order. Pages are never
+// unmapped. Memory is not safe for concurrent use.
 type Memory struct {
-	pages map[Addr]*page
-
-	// Page cache: mru is the last page touched, vic holds the two most
-	// recently demoted pages (round-robin fill via vicPtr).
-	mruPN  Addr
-	mru    *page
-	vicPN  [2]Addr
-	vic    [2]*page
-	vicPtr uint8
+	pages pagetab.Table[page]
 
 	// PagesTouched counts pages materialized so far; it backs the
 	// space-overhead accounting in Table 1.
@@ -99,70 +88,25 @@ type Memory struct {
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[Addr]*page)}
-}
+func New() *Memory { return &Memory{} }
 
-// lookup returns the materialized page containing a, or nil. The MRU
-// check is the hit path taken by nearly every access.
-func (m *Memory) lookup(a Addr) *page {
-	pn := a >> PageShift
-	if pn == m.mruPN && m.mru != nil {
-		return m.mru
-	}
-	return m.lookupSlow(pn)
-}
-
-// lookupSlow probes the victim file, then the page map, promoting any
-// hit to MRU.
-func (m *Memory) lookupSlow(pn Addr) *page {
-	for i := range m.vic {
-		if m.vicPN[i] == pn && m.vic[i] != nil {
-			// Swap with the MRU slot so neither entry is lost.
-			p := m.vic[i]
-			m.vic[i], m.vicPN[i] = m.mru, m.mruPN
-			m.mru, m.mruPN = p, pn
-			return p
-		}
-	}
-	p := m.pages[pn]
-	if p != nil {
-		m.install(pn, p)
-	}
-	return p
-}
-
-// install makes (pn, p) the MRU cache entry, demoting the previous MRU
-// page into the victim file.
-func (m *Memory) install(pn Addr, p *page) {
-	if m.mru != nil {
-		m.vic[m.vicPtr], m.vicPN[m.vicPtr] = m.mru, m.mruPN
-		m.vicPtr ^= 1
-	}
-	m.mru, m.mruPN = p, pn
-}
+// lookup returns the page containing a if it has been touched, else nil.
+func (m *Memory) lookup(a Addr) *page { return m.pages.Get(uint64(a >> PageShift)) }
 
 func (m *Memory) page(a Addr) *page {
-	if p := m.lookup(a); p != nil {
-		return p
+	p, created := m.pages.Ensure(uint64(a >> PageShift))
+	if created {
+		m.PagesTouched++
 	}
-	pn := a >> PageShift
-	p := new(page)
-	m.pages[pn] = p
-	m.PagesTouched++
-	m.install(pn, p)
 	return p
 }
-
-// peek returns the page containing a if it has been touched, else nil.
-func (m *Memory) peek(a Addr) *page { return m.lookup(a) }
 
 func wordIndex(a Addr) uint { return uint((a & pageMask) >> WordShift) }
 
 // ReadWord returns the raw 64-bit word containing a (a is word-aligned
 // by the caller or rounded down here). No forwarding interpretation.
 func (m *Memory) ReadWord(a Addr) uint64 {
-	p := m.peek(a)
+	p := m.lookup(a)
 	if p == nil {
 		return 0
 	}
@@ -178,7 +122,7 @@ func (m *Memory) WriteWord(a Addr, v uint64) {
 // FBit reports the forwarding bit of the word containing a. This is the
 // state inspected by the Read_FBit ISA extension (Figure 3).
 func (m *Memory) FBit(a Addr) bool {
-	p := m.peek(a)
+	p := m.lookup(a)
 	if p == nil {
 		return false
 	}
@@ -210,7 +154,7 @@ func (m *Memory) SetWriteFault(f func(a Addr, v uint64, fbit bool) (uint64, bool
 // ReadWordFBit returns both the raw word and its forwarding bit, the
 // storage effect of Unforwarded_Read (Figure 3).
 func (m *Memory) ReadWordFBit(a Addr) (uint64, bool) {
-	p := m.peek(a)
+	p := m.lookup(a)
 	if p == nil {
 		return 0, false
 	}
@@ -278,11 +222,11 @@ func (m *Memory) Touched(a Addr) bool { return m.lookup(a) != nil }
 // ascending order. Heap digests and whole-memory invariant sweeps use
 // it to enumerate every word that can differ from the zero-fill state.
 func (m *Memory) TouchedPages() []Addr {
-	out := make([]Addr, 0, len(m.pages))
-	for pn := range m.pages {
-		out = append(out, pn<<PageShift)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Addr, 0, m.pages.Len())
+	m.pages.Walk(func(pn uint64, _ *page) bool {
+		out = append(out, Addr(pn)<<PageShift)
+		return true
+	})
 	return out
 }
 

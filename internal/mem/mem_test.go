@@ -180,9 +180,9 @@ func TestZeroPartialFinalWord(t *testing.T) {
 	}
 }
 
-// The page cache in front of the page map must never affect visibility:
-// a miss on an untouched page (which returns zero without materializing)
-// must not be cached as if the page existed, and a later write to that
+// Page-table lookups must never affect visibility: a miss on an
+// untouched page (which returns zero without materializing) must not
+// be remembered as if the page existed, and a later write to that
 // page must be observed by subsequent reads.
 func TestPageCacheMaterializationVisibility(t *testing.T) {
 	m := New()
@@ -207,9 +207,8 @@ func TestPageCacheMaterializationVisibility(t *testing.T) {
 	}
 }
 
-// Sweeping across more pages than the cache holds (MRU + 2 victims)
-// must still read every word back, exercising victim promotion and
-// map refill.
+// Sweeping back and forth across pages must still read every word
+// back, with every lookup landing on a different page than the last.
 func TestPageCacheCrossPageSweep(t *testing.T) {
 	m := New()
 	const pages = 8
@@ -237,13 +236,13 @@ func TestPageCacheCrossPageSweep(t *testing.T) {
 	}
 }
 
-// Forwarding bits must stay coherent when their page cycles through the
-// cache's MRU and victim slots.
+// Forwarding bits must stay coherent when lookups move away from their
+// page and come back.
 func TestPageCacheFBitCoherence(t *testing.T) {
 	m := New()
 	pageA := Addr(0x100000)
 	m.WriteWordFBit(pageA, 0x9000, true)
-	// Push A out of MRU and through both victim slots.
+	// Touch the neighbouring pages in between.
 	for i := 1; i <= 4; i++ {
 		m.WriteWord(pageA+Addr(i)*PageBytes, uint64(i))
 	}

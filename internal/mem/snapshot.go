@@ -1,5 +1,7 @@
 package mem
 
+import "memfwd/internal/pagetab"
+
 // Snapshot/Restore for the functional memory state. A snapshot is a
 // deep, process-local copy of the architectural state — materialized
 // pages (words + fbit bitmaps) for Memory, and the full heap map
@@ -14,42 +16,36 @@ package mem
 
 // MemorySnapshot is a deep copy of a Memory's architectural state:
 // every materialized page, including the per-word forwarding-bit
-// bitmap, plus the PagesTouched accounting. The MRU/victim page cache
-// is performance state, not architectural state, and is not captured.
+// bitmap, in ascending address order.
 type MemorySnapshot struct {
-	pages        map[Addr]*page
-	pagesTouched int
+	pages []snapPage // ascending pn
+}
+
+type snapPage struct {
+	pn Addr
+	p  page
 }
 
 // Snapshot captures a deep copy of the memory's architectural state.
 func (m *Memory) Snapshot() *MemorySnapshot {
-	s := &MemorySnapshot{
-		pages:        make(map[Addr]*page, len(m.pages)),
-		pagesTouched: m.PagesTouched,
-	}
-	for pn, p := range m.pages {
-		cp := *p // page is two arrays; value copy is a deep copy
-		s.pages[pn] = &cp
-	}
+	s := &MemorySnapshot{pages: make([]snapPage, 0, m.pages.Len())}
+	m.pages.Walk(func(pn uint64, p *page) bool {
+		s.pages = append(s.pages, snapPage{Addr(pn), *p}) // page is two arrays; value copy is a deep copy
+		return true
+	})
 	return s
 }
 
 // Restore replaces m's pages and accounting with a deep copy of the
-// snapshot. The direct page cache is invalidated (it would otherwise
-// alias the discarded pages), and the writeFault hook is left alone:
-// fault injection is wiring of the target machine, not memory state.
+// snapshot. The writeFault hook is left alone: fault injection is
+// wiring of the target machine, not memory state.
 func (m *Memory) Restore(s *MemorySnapshot) {
-	pages := make(map[Addr]*page, len(s.pages))
-	for pn, p := range s.pages {
-		cp := *p
-		pages[pn] = &cp
+	m.pages = pagetab.Table[page]{}
+	for i := range s.pages {
+		p, _ := m.pages.Ensure(uint64(s.pages[i].pn))
+		*p = s.pages[i].p
 	}
-	m.pages = pages
-	m.PagesTouched = s.pagesTouched
-	m.mruPN, m.mru = 0, nil
-	m.vicPN = [2]Addr{}
-	m.vic = [2]*page{}
-	m.vicPtr = 0
+	m.PagesTouched = len(s.pages)
 }
 
 // Pages returns the number of materialized pages in the snapshot.

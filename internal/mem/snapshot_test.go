@@ -57,8 +57,8 @@ func TestMemorySnapshotRoundTrip(t *testing.T) {
 	fresh.Restore(s)
 	check(fresh)
 
-	// Restoring over the mutated source must also converge, and the
-	// page cache must not serve stale pre-restore pages.
+	// Restoring over the mutated source must also converge, with no
+	// stale pre-restore page left visible.
 	m.Restore(s)
 	check(m)
 

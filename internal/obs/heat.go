@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"memfwd/internal/pagetab"
 	"memfwd/internal/report"
 )
 
@@ -57,16 +59,21 @@ const (
 // without one attached pays a single predictable branch and zero
 // allocations per access.
 //
-// Word-to-object resolution uses an exact per-word index (objects are
-// word-aligned, so every word belongs to at most one block); accesses
-// to words outside any tracked block (stack, globals, evicted blocks)
-// count in Untracked.
+// Tracked objects, live and freed, sit in a dense list that whole-map
+// passes (decay epochs, eviction, rankings) iterate. Lookups go through
+// a page table (internal/pagetab) of per-page word slots, so resolving
+// an address or a base is a table walk and an array load, with no
+// hashing. A word's slot holds the object that last covered it (objects
+// are word-aligned, so every word belongs to at most one live block)
+// and resolves only while that object is live: freeing, replacing or
+// evicting an object clears no slots. Accesses to words outside any
+// tracked block (stack, globals, evicted blocks) count in Untracked.
 //
 // Like the Machine it instruments, a HeatMap is not safe for concurrent
 // use; concurrent readers get Snapshot copies.
 type HeatMap struct {
-	objs  map[uint64]*HeatObject // base -> profile
-	index map[uint64]uint64      // word addr >> 3 -> base
+	pages pagetab.Table[heatPage]
+	objs  []*HeatObject // tracked objects, live and freed
 
 	maxObjects int
 	epochEvery uint64
@@ -77,6 +84,19 @@ type HeatMap struct {
 	untracked uint64
 }
 
+// heatPageWords is the number of word slots per 4 KB page.
+const heatPageWords = 1 << (12 - 3)
+
+// heatPage holds one page's slots: word[i] is the object that last
+// covered word i, and base[i] is one plus the objs position of the
+// tracked object (live or freed) whose base is word i, or 0.
+type heatPage struct {
+	word [heatPageWords]*HeatObject
+	base [heatPageWords]int32
+}
+
+func slot(addr uint64) uint64 { return (addr >> 3) & (heatPageWords - 1) }
+
 // NewHeatMap builds a heat map bounded to maxObjects entries with a
 // decay epoch every epochEvery accesses (<= 0 takes the defaults).
 func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
@@ -86,12 +106,16 @@ func NewHeatMap(maxObjects int, epochEvery uint64) *HeatMap {
 	if epochEvery == 0 {
 		epochEvery = DefaultHeatEpoch
 	}
-	return &HeatMap{
-		objs:       make(map[uint64]*HeatObject, maxObjects),
-		index:      make(map[uint64]uint64),
-		maxObjects: maxObjects,
-		epochEvery: epochEvery,
+	return &HeatMap{maxObjects: maxObjects, epochEvery: epochEvery}
+}
+
+// at returns the tracked object whose base is base, or nil.
+func (h *HeatMap) at(base uint64) *HeatObject {
+	p := h.pages.Get(base >> 12)
+	if p == nil || p.base[slot(base)] == 0 {
+		return nil
 	}
+	return h.objs[p.base[slot(base)]-1]
 }
 
 // OnAlloc registers a new allocation block (nil-safe). Reusing a base
@@ -100,16 +124,40 @@ func (h *HeatMap) OnAlloc(base, bytes uint64) {
 	if h == nil {
 		return
 	}
-	if old, ok := h.objs[base]; ok {
-		// The allocator reused an address; the old block is gone.
-		h.dropIndex(old)
-	} else if len(h.objs) >= h.maxObjects {
-		h.evictColdest()
-	}
 	o := &HeatObject{Base: base, Bytes: bytes, Live: true}
-	h.objs[base] = o
-	for w := base >> 3; w < (base+bytes+7)>>3; w++ {
-		h.index[w] = base
+	p, _ := h.pages.Ensure(base >> 12)
+	if i := p.base[slot(base)]; i != 0 {
+		// The allocator reused an address; the old block is gone.
+		h.objs[i-1].Live = false
+		h.objs[i-1] = o
+	} else {
+		if len(h.objs) >= h.maxObjects {
+			h.evictColdest()
+		}
+		h.objs = append(h.objs, o)
+		p.base[slot(base)] = int32(len(h.objs))
+	}
+	h.index(o)
+}
+
+// remove stops tracking objs[i], moving the last object into its place.
+func (h *HeatMap) remove(i int) {
+	o, last := h.objs[i], h.objs[len(h.objs)-1]
+	h.pages.Get(last.Base >> 12).base[slot(last.Base)] = int32(i + 1)
+	h.pages.Get(o.Base >> 12).base[slot(o.Base)] = 0
+	h.objs[i] = last
+	h.objs[len(h.objs)-1] = nil
+	h.objs = h.objs[:len(h.objs)-1]
+}
+
+// index points every word slot of o's extent at o.
+func (h *HeatMap) index(o *HeatObject) {
+	var p *heatPage
+	for w, end := o.Base>>3, (o.Base+o.Bytes+7)>>3; w < end; w++ {
+		if p == nil || w%heatPageWords == 0 {
+			p, _ = h.pages.Ensure(w / heatPageWords)
+		}
+		p.word[w%heatPageWords] = o
 	}
 }
 
@@ -120,57 +168,48 @@ func (h *HeatMap) OnFree(base uint64) {
 	if h == nil {
 		return
 	}
-	o, ok := h.objs[base]
-	if !ok {
-		return
-	}
-	o.Live = false
-	h.dropIndex(o)
-}
-
-func (h *HeatMap) dropIndex(o *HeatObject) {
-	for w := o.Base >> 3; w < (o.Base+o.Bytes+7)>>3; w++ {
-		if h.index[w] == o.Base {
-			delete(h.index, w)
-		}
+	if o := h.at(base); o != nil {
+		o.Live = false
 	}
 }
 
 // evictColdest removes the lowest-heat entry, preferring dead blocks:
 // a freed object is evicted before any live one regardless of heat.
 func (h *HeatMap) evictColdest() {
-	var victim *HeatObject
-	for _, o := range h.objs {
-		if victim == nil {
-			victim = o
+	v := -1
+	for i, o := range h.objs {
+		if v < 0 {
+			v = i
 			continue
 		}
+		victim := h.objs[v]
 		switch {
 		case victim.Live && !o.Live:
-			victim = o
+			v = i
 		case victim.Live == o.Live &&
 			(o.heat() < victim.heat() ||
 				(o.heat() == victim.heat() && o.Base < victim.Base)):
-			victim = o
+			v = i
 		}
 	}
-	if victim == nil {
+	if v < 0 {
 		return
 	}
-	if victim.Live {
-		h.dropIndex(victim)
-	}
-	delete(h.objs, victim.Base)
+	h.objs[v].Live = false // its words stop resolving
+	h.remove(v)
 	h.evicted++
 }
 
 // lookup resolves a word address to its tracked object, if any.
 func (h *HeatMap) lookup(addr uint64) *HeatObject {
-	base, ok := h.index[addr>>3]
-	if !ok {
+	p := h.pages.Get(addr >> 12)
+	if p == nil {
 		return nil
 	}
-	return h.objs[base]
+	if o := p.word[slot(addr)]; o != nil && o.Live {
+		return o
+	}
+	return nil
 }
 
 // Resolve maps an address to the base of the tracked allocation block
@@ -188,17 +227,24 @@ func (h *HeatMap) Resolve(addr uint64) (base uint64, ok bool) {
 }
 
 // Get returns a copy of the tracked profile for the block at base
-// (nil-safe). The tiering daemon uses it to read the current decayed
-// heat of a specific resident object when ranking demotion victims.
+// (nil-safe).
 func (h *HeatMap) Get(base uint64) (HeatObject, bool) {
+	if o := h.Object(base); o != nil {
+		return *o, true
+	}
+	return HeatObject{}, false
+}
+
+// Object returns the tracked profile for the block at base, live or
+// freed, or nil (nil-safe). The pointer stays valid while the block is
+// tracked and must not be written through; the tiering daemon reads
+// the current decayed heat of every live block through it on each wake
+// without copying the profile.
+func (h *HeatMap) Object(base uint64) *HeatObject {
 	if h == nil {
-		return HeatObject{}, false
+		return nil
 	}
-	o, ok := h.objs[base]
-	if !ok {
-		return HeatObject{}, false
-	}
-	return *o, true
+	return h.at(base)
 }
 
 // RecordAccess attributes one load or store (nil-safe). initial is the
@@ -259,7 +305,9 @@ func (h *HeatMap) tick() {
 	}
 	h.sinceEpoch = 0
 	h.epochs++
-	for base, o := range h.objs {
+	// Backwards, so remove's swap only moves already-visited objects.
+	for i := len(h.objs) - 1; i >= 0; i-- {
+		o := h.objs[i]
 		o.Loads >>= 1
 		o.Stores >>= 1
 		o.Forwarded >>= 1
@@ -267,7 +315,7 @@ func (h *HeatMap) tick() {
 		o.Traps >>= 1
 		o.TrapCyc >>= 1
 		if !o.Live && o.heat() == 0 {
-			delete(h.objs, base)
+			h.remove(i)
 		}
 	}
 }
@@ -302,14 +350,14 @@ func (h *HeatMap) top(k int, skip func(*HeatObject) bool, less func(a, b *HeatOb
 		}
 		objs = append(objs, o)
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		if less(objs[i], objs[j]) {
-			return true
+	slices.SortFunc(objs, func(a, b *HeatObject) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-		if less(objs[j], objs[i]) {
-			return false
-		}
-		return objs[i].Base < objs[j].Base
+		return cmp.Compare(a.Base, b.Base)
 	})
 	if len(objs) > k {
 		objs = objs[:k]

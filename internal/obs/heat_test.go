@@ -127,7 +127,7 @@ func TestHeatMapEvictsColdestPreferringDead(t *testing.T) {
 
 	// At capacity: the dead 0x100 goes first despite being hottest.
 	h.OnAlloc(0x300, 8)
-	if _, ok := h.objs[0x100]; ok {
+	if h.Object(0x100) != nil {
 		t.Fatal("dead entry should be evicted before live ones")
 	}
 	if h.Len() != 2 {
@@ -136,7 +136,7 @@ func TestHeatMapEvictsColdestPreferringDead(t *testing.T) {
 	// All live now: the coldest (0x300, zero heat) goes.
 	h.RecordAccess(0x200, 0x200, false, 0)
 	h.OnAlloc(0x400, 8)
-	if _, ok := h.objs[0x300]; ok {
+	if h.Object(0x300) != nil {
 		t.Fatal("coldest live entry should be evicted")
 	}
 	snap := h.Snapshot(0)
@@ -183,7 +183,7 @@ func TestHeatMapDecayDropsColdDead(t *testing.T) {
 	// zero-heat entry is dropped.
 	h.OnAlloc(0x200, 8)
 	h.RecordAccess(0x200, 0x200, false, 0)
-	if _, ok := h.objs[0x100]; ok {
+	if h.Object(0x100) != nil {
 		t.Fatal("cold dead entry should be dropped at epoch")
 	}
 }
@@ -235,4 +235,28 @@ func TestHeatMapReportAndMetrics(t *testing.T) {
 	if vals["heat.objects"] != 1 || vals["heat.untracked"] != 0 {
 		t.Fatalf("metrics wrong: %v", vals)
 	}
+}
+
+// TestHeatMapHotPathsZeroAlloc: attributing an access and resolving an
+// address or a base are table lookups and must never allocate.
+func TestHeatMapHotPathsZeroAlloc(t *testing.T) {
+	h := NewHeatMap(64, 16) // small epoch: the decay pass runs inside the loop too
+	for i := uint64(0); i < 32; i++ {
+		h.OnAlloc(0x10000+i*96, 80)
+	}
+	var sink uint64
+	i := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		a := 0x10000 + (i%32)*96 + (i%10)*8
+		i++
+		h.RecordAccess(a, a, i&1 == 0, int(i%3))
+		h.RecordTrap(a, 5)
+		if base, ok := h.Resolve(a); ok {
+			sink += h.Object(base).Loads
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("heat map hot paths allocate %.1f times per access", allocs)
+	}
+	_ = sink
 }

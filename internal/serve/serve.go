@@ -155,6 +155,7 @@ func (sv *Server) Start(addr string) error {
 	mux.HandleFunc("DELETE /sessions/{id}", sv.handleDelete)
 	mux.HandleFunc("GET /sessions/{id}/events", sv.handleEvents)
 	mux.HandleFunc("POST /restore", sv.handleRestore)
+	mux.HandleFunc("DELETE /snapshots/{id}", sv.handleDeleteSnapshot)
 	sv.ln = ln
 	// Hardened defaults: a stalled or hostile client cannot hold a
 	// connection open indefinitely or feed an unbounded header. The
@@ -609,16 +610,17 @@ func clearDeadlines(w http.ResponseWriter) {
 
 func (sv *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{
-		"healthz":  "/healthz",
-		"metrics":  "/metrics",
-		"sessions": "POST /sessions {mode, shard?, seed, opt, chaos...}; GET /sessions",
-		"op":       "POST /sessions/{id}/op {op: malloc|free|load|store|relocate|fbit|final|digest, ...} or {ops: [...]}",
-		"step":     "POST /sessions/{id}/step {ops: N} (app sessions)",
-		"stats":    "GET /sessions/{id}/stats",
-		"snapshot": "POST /sessions/{id}/snapshot",
-		"restore":  "POST /restore {snapshot, shard?}",
-		"migrate":  "POST /sessions/{id}/migrate {shard}",
-		"events":   "GET /sessions/{id}/events (NDJSON stream)",
+		"healthz":      "/healthz",
+		"metrics":      "/metrics",
+		"sessions":     "POST /sessions {mode, shard?, seed, opt, chaos...}; GET /sessions",
+		"op":           "POST /sessions/{id}/op {op: malloc|free|load|store|relocate|fbit|final|digest, ...} or {ops: [...]}",
+		"step":         "POST /sessions/{id}/step {ops: N} (app sessions)",
+		"stats":        "GET /sessions/{id}/stats",
+		"snapshot":     "POST /sessions/{id}/snapshot",
+		"restore":      "POST /restore {snapshot, shard?}",
+		"dropSnapshot": "DELETE /snapshots/{id}",
+		"migrate":      "POST /sessions/{id}/migrate {shard}",
+		"events":       "GET /sessions/{id}/events (NDJSON stream)",
 	})
 }
 
@@ -821,15 +823,66 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	id, snap := sv.snapshotSession(s)
 	resp := map[string]any{"snapshot": id, "session": sv.info(s)}
-	if st := sv.cfg.Store; st != nil {
+	if sv.cfg.Store != nil {
 		// The in-memory snapshot is already taken; persistence failure
 		// degrades the reply, not the capture.
-		if err := st.writeSnapshot(id, snap); err != nil {
+		if err := sv.persistSnapshot(id, snap); err != nil {
 			sv.strike(int(s.shard.Load()))
 			resp["durable"] = false
 			resp["storeError"] = err.Error()
 		} else {
 			resp["durable"] = true
+		}
+	}
+	writeJSON(w, resp)
+}
+
+// persistSnapshot writes a capture to the durable store. A DELETE of
+// the id that ran during the write found no file to remove; since it
+// drops the map entry before the file, whichever of the two runs last
+// removes the file, and recovery cannot resurrect a deleted id.
+func (sv *Server) persistSnapshot(id string, snap *storedSnapshot) error {
+	st := sv.cfg.Store
+	err := st.writeSnapshot(id, snap)
+	sv.mu.Lock()
+	_, kept := sv.snaps[id]
+	sv.mu.Unlock()
+	if !kept {
+		st.removeSnapshot(id)
+	}
+	return err
+}
+
+// deleteSnapshot drops a server-held snapshot and its durable file,
+// reporting whether the id was known and, for a durable server, the
+// store's error. Restores already under way keep their copy (captures
+// are immutable); later restores of the id fail.
+func (sv *Server) deleteSnapshot(id string) (bool, error) {
+	sv.mu.Lock()
+	_, ok := sv.snaps[id]
+	delete(sv.snaps, id)
+	sv.mu.Unlock()
+	st := sv.cfg.Store
+	if !ok || st == nil {
+		return ok, nil
+	}
+	return true, st.removeSnapshot(id)
+}
+
+// handleDeleteSnapshot serves DELETE /snapshots/{id}. A store that
+// cannot remove the file degrades the reply, as a failed capture write
+// does: recovery would bring the file back.
+func (sv *Server) handleDeleteSnapshot(w http.ResponseWriter, r *http.Request) {
+	ok, err := sv.deleteSnapshot(r.PathValue("id"))
+	if !ok {
+		writeErr(w, http.StatusNotFound, "unknown snapshot")
+		return
+	}
+	resp := map[string]any{"deleted": true}
+	if sv.cfg.Store != nil {
+		resp["durable"] = err == nil
+		if err != nil {
+			resp["storeError"] = err.Error()
 		}
 	}
 	writeJSON(w, resp)
@@ -932,6 +985,7 @@ func (sv *Server) MetricsSnapshot() map[string]float64 {
 	for _, s := range sv.sessions {
 		sessions = append(sessions, s)
 	}
+	liveSnaps := len(sv.snaps)
 	sv.mu.Unlock()
 	var ops, events, drops uint64
 	active := len(sessions)
@@ -976,6 +1030,7 @@ func (sv *Server) MetricsSnapshot() map[string]float64 {
 		"serve.sessions.closed":  float64(sv.closedCount.Load()),
 		"serve.migrations":       float64(sv.migrations.Load()),
 		"serve.snapshots":        float64(sv.snapshots.Load()),
+		"serve.snapshots.live":   float64(liveSnaps),
 		"serve.restores":         float64(sv.restores.Load()),
 		"serve.ops":              float64(ops),
 		"serve.events":           float64(events),

@@ -414,6 +414,23 @@ func (st *Store) writeSnapshot(id string, snap *storedSnapshot) error {
 	return st.writeFileAtomic(st.snapshotPath(id), sf.encode())
 }
 
+// removeSnapshot deletes a persisted capture and syncs the directory,
+// so the removal outlives a crash and recovery cannot bring the
+// snapshot back. A capture that was never persisted is not an error.
+func (st *Store) removeSnapshot(id string) error {
+	if st.dead.Load() {
+		return ErrStoreDead
+	}
+	path := st.snapshotPath(id)
+	if err := os.Remove(path); err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
 // --- write-ahead log --------------------------------------------------
 
 // WAL record kinds (first body byte after the sequence number).

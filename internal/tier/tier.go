@@ -49,9 +49,10 @@
 package tier
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"memfwd/internal/apps/app"
 	"memfwd/internal/core"
@@ -59,6 +60,7 @@ import (
 	"memfwd/internal/mem"
 	"memfwd/internal/obs"
 	"memfwd/internal/opt"
+	"memfwd/internal/pagetab"
 )
 
 // Config parameterizes a Daemon. Tiers is required; everything else
@@ -195,22 +197,60 @@ func (s *Stats) HitRate(i int) float64 {
 	return float64(s.Accesses[i]) / float64(total)
 }
 
-type residency struct {
-	tier  int
-	bytes uint64 // word-rounded, matching Take/Release accounting
+// block is the daemon's state for one allocation block, kept from the
+// allocator's alloc and free events rather than rebuilt on each wake.
+type block struct {
+	base   mem.Addr
+	size   uint64 // rounded usable size, as the allocator reports it
+	pinned bool
+	used   bool // the slab slot holds a block
+	dead   bool // freed; finalized at the next wake (see Daemon.dead)
+
+	// Residency: the window the data currently lives in (spilled,
+	// demoted, or promoted back), with its word-rounded bytes matching
+	// Take/Release accounting. Bases are object identity — TryRelocate
+	// leaves the base forwarding, and a spilled block's base is its
+	// window address — so residency stays valid across any number of
+	// moves.
+	resident bool
+	tier     int
+	resBytes uint64
+	moved    int // migrations of this block, bounding promote/demote thrash
+
+	// Ranking state carried between wakes: the cumulative heatKey at
+	// the previous wake (so each wake can take a delta), an exponential
+	// moving average of those deltas, which is the score policy
+	// actually ranks on, and the count of consecutive zero-delta wakes.
+	// Cumulative totals invert the signal (a long-lived object on its
+	// way out ranks hotter than a just-born hot one); a raw
+	// single-window delta overcorrects (an object mid-way through a
+	// traversal cycle longer than one wake scores zero and gets demoted
+	// while still hot). The EWMA — halved each wake, then bumped by the
+	// fresh delta — is the middle ground: recency-weighted with a few
+	// wakes of memory.
+	last  uint64
+	score uint64
+	idle  int
+	known bool // the heat map tracked the block at the last wake: its score is evidence, not absence
 }
 
-// tracker is per-block ranking state carried between wakes: see the
-// Daemon.track field doc.
-type tracker struct {
-	last  uint64 // cumulative heatKey at the previous wake
-	score uint64 // EWMA of per-wake deltas
-	idle  int    // consecutive wakes with a zero delta
-}
+func (b *block) far() bool { return b.resident && b.tier > 0 }
+
+// basePage maps each word of a 4 KB page to the block based there: its
+// slab index plus one, or 0.
+type basePage [mem.PageWords]int32
 
 // Daemon is the migrator. Like the machine it wraps, it is not safe
 // for concurrent use; in the session server it lives under the same
 // gate that serializes the machine.
+//
+// Per-block state lives in a slab (blocks) indexed by base address
+// through a page table (index), both maintained from the allocator's
+// events. A wake is one linear pass over the slab, one heat lookup per
+// block, plus an address-order walk of the index when it demotes — no
+// sort of the heap, no map, no hashing. Its decisions are exactly those
+// of a full rescan of the allocator's sorted live set: DESIGN.md §11
+// gives the invariant.
 type Daemon struct {
 	inner app.Machine
 	al    *mem.Allocator
@@ -227,22 +267,34 @@ type Daemon struct {
 	ownHeat bool
 
 	guestTrap core.TrapHandler
+	tap       core.TrapHandler // d.trapTap, bound once: taking a method value allocates
 
-	// resident maps object base -> the window its data currently lives
-	// in (spilled, demoted, or promoted-back). Bases are object
-	// identity (TryRelocate leaves the base forwarding, and a spilled
-	// object's base *is* its window address), so entries stay valid
-	// across any number of moves; they are dropped when the allocator
-	// reports the base dead.
-	resident map[mem.Addr]residency
+	// hooked is the allocator whose event hook feeds the daemon.
+	hooked *mem.Allocator
+
+	blocks []block
+	free   []int32 // unused slab slots
+	index  pagetab.Table[basePage]
+	nlive  int // live blocks; must equal the allocator's count at a wake
+	nmoved int // blocks with moved > 0: while 0, geometry alone attributes accesses
+	pins   int // the allocator's pin count when block pin flags were last read
+
+	// dead lists blocks freed since the last wake. Their state is kept
+	// until that wake, exactly as a full rescan of the allocator's live
+	// set would first notice them there: a base the allocator reuses in
+	// between inherits the previous block's ranking and residency.
+	dead []int32
+
+	// placedAt is the window address the Place hook just carved (in
+	// placedTier, placedBytes of window): the allocator's alloc event
+	// for it claims that residency.
+	placedAt    mem.Addr
+	placedTier  int
+	placedBytes uint64
 
 	// farBytes is the rounded total of resident bytes in tiers >= 1,
 	// so nearLive is O(1) on the allocation path.
 	farBytes uint64
-
-	// moved counts migrations per object, bounding chain growth from
-	// promote/demote thrash.
-	moved map[mem.Addr]int
 
 	// patience is the working idle-wake bar for demotion, seeded from
 	// cfg.IdleWakes and self-tuned: doubled while demoted blocks keep
@@ -253,19 +305,15 @@ type Daemon struct {
 	// is current allocation pressure, which gates demotion.
 	lastSpills uint64
 
-	// track carries per-block ranking state across wakes: the
-	// cumulative heat seen at the previous wake (so each wake can take
-	// a delta) and an exponential moving average of those deltas,
-	// which is the score policy actually ranks on. Cumulative totals
-	// invert the signal (a long-lived object on its way out ranks
-	// hotter than a just-born hot one); a raw single-window delta
-	// overcorrects (an object mid-way through a traversal cycle longer
-	// than one wake scores zero and gets demoted while still hot). The
-	// EWMA — halved each wake, then bumped by the fresh delta — is the
-	// middle ground: recency-weighted with a few wakes of memory.
-	track map[mem.Addr]tracker
+	promos []promo // scratch: a wake's promotion candidates
 
 	stats Stats
+}
+
+type promo struct {
+	score uint64
+	base  mem.Addr
+	i     int32
 }
 
 var _ app.Machine = (*Daemon)(nil)
@@ -284,8 +332,10 @@ const daemonHeatObjects = 1 << 16
 const maxPatience = 1 << 12
 
 // New wraps inner with a tiering daemon and installs its spill
-// placement hook on inner's allocator. The wrapped machine — not
-// inner — must be handed to the guest, or the daemon never ticks.
+// placement hook and its event listener on inner's allocator (after
+// any listener already there, such as the machine's heat map, which
+// must therefore be attached first). The wrapped machine — not inner —
+// must be handed to the guest, or the daemon never ticks.
 func New(inner app.Machine, cfg Config) *Daemon {
 	if cfg.Tiers == nil {
 		panic("tier: Config.Tiers is required")
@@ -319,14 +369,10 @@ func New(inner app.Machine, cfg Config) *Daemon {
 	}
 	d := &Daemon{
 		inner:    inner,
-		al:       inner.Allocator(),
 		tiers:    mem.NewTiers(cfg.Tiers),
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		heat:     cfg.Heat,
-		resident: make(map[mem.Addr]residency),
-		moved:    make(map[mem.Addr]int),
-		track:    make(map[mem.Addr]tracker),
 		patience: cfg.IdleWakes,
 	}
 	if d.heat == nil {
@@ -339,10 +385,11 @@ func New(inner app.Machine, cfg Config) *Daemon {
 	}
 	// Install the trap tap so trap attribution flows into a private
 	// heat map even if the guest never installs a handler.
+	d.tap = d.trapTap
 	if d.ownHeat {
-		inner.SetTrap(d.trapTap)
+		inner.SetTrap(d.tap)
 	}
-	d.al.Place = d.place
+	d.Rebind()
 	d.reload()
 	return d
 }
@@ -354,15 +401,40 @@ func New(inner app.Machine, cfg Config) *Daemon {
 func (d *Daemon) Tiers() *mem.Tiers { return d.tiers }
 
 // Rebind re-caches the wrapped machine's allocator and re-installs the
-// placement hook on it. For hosts that swap the underlying machine out
-// from under the interception chain (the session server's live
-// migration): the daemon — residency map, window cursors, ranking
-// state — is host state and persists across the swap, but the
-// allocator is machine state and does not. Call with the machine
-// quiesced, after the swap.
+// placement hook and event listener on it. For hosts that swap the
+// underlying machine out from under the interception chain (the
+// session server's live migration): the daemon — per-block residency
+// and ranking state, window cursors — is host state and persists
+// across the swap, but the allocator is machine state and does not.
+// Call with the machine quiesced, after the swap (and after attaching
+// the new machine's heat map).
 func (d *Daemon) Rebind() {
 	d.al = d.inner.Allocator()
 	d.al.Place = d.place
+	if d.hooked != d.al {
+		al, prev := d.al, d.al.OnEvent
+		al.OnEvent = func(op string, a mem.Addr, size uint64) {
+			if prev != nil {
+				prev(op, a, size)
+			}
+			if al == d.al {
+				d.onEvent(op, a, size)
+			}
+		}
+		d.hooked = al
+	}
+	// Reconcile with the allocator's live set: a block it no longer
+	// holds is freed, one it holds that the daemon lacks is allocated.
+	for i := range d.blocks {
+		if b := &d.blocks[i]; b.used && !b.dead && !d.al.Live(b.base) {
+			d.onEvent("free", b.base, b.size)
+		}
+	}
+	for _, base := range d.al.LiveBlocks() {
+		size, _ := d.al.SizeOf(base)
+		d.allocated(base, size)
+	}
+	d.pins = -1
 }
 
 // Stats returns a copy of the daemon's accounting.
@@ -444,7 +516,7 @@ func (d *Daemon) place(size uint64) mem.Addr {
 		d.stats.SkippedArena++
 		return 0
 	}
-	d.resident[a] = residency{tier: tier, bytes: take}
+	d.placedAt, d.placedTier, d.placedBytes = a, tier, take
 	if tier > 0 {
 		d.farBytes += take
 		d.stats.Spills++
@@ -490,12 +562,17 @@ func (d *Daemon) record(a mem.Addr, store bool) {
 		d.stats.Accesses = make([]uint64, d.tiers.N())
 	}
 	// Geometry answers for direct addresses (heap and spilled blocks);
-	// the residency map corrects for relocated objects, whose guest
-	// address is the near base but whose data lives where it was moved.
+	// residency corrects for relocated objects, whose guest address is
+	// the near base but whose data lives where it was moved. Object
+	// identity is the heat map's, as in ranking: a block it does not
+	// track is attributed by geometry. Only migrated blocks can differ
+	// from geometry, so while there are none the lookup is skipped.
 	t := d.tiers.TierOf(a)
-	if base, ok := d.heat.Resolve(uint64(a)); ok {
-		if r, ok := d.resident[mem.Addr(base)]; ok {
-			t = r.tier
+	if d.nmoved > 0 {
+		if base, ok := d.heat.Resolve(uint64(a)); ok {
+			if i := d.blockAt(mem.Addr(base)); i >= 0 && d.blocks[i].resident {
+				t = d.blocks[i].tier
+			}
 		}
 	}
 	d.stats.Accesses[t]++
@@ -505,12 +582,13 @@ func (d *Daemon) record(a mem.Addr, store bool) {
 // the profiler attributed to the object. Forwarding traps are paid on
 // the access path, so a trap-heavy object is exactly as worth keeping
 // near as a load-heavy one.
-func heatKey(o obs.HeatObject) uint64 { return o.Loads + o.Stores + o.Traps }
+func heatKey(o *obs.HeatObject) uint64 { return o.Loads + o.Stores + o.Traps }
 
-// wake runs one policy pass: drop dead residencies, demote the coldest
-// near-resident objects while near memory is over budget, then haul
-// back any far-resident object that turned decisively hot. Guest traps
-// are masked for the duration — the daemon models an agent outside the
+// wake runs one policy pass: finalize blocks freed since the last
+// wake, re-rank every live block, demote the coldest near-resident
+// objects while near memory is over budget, then haul back any
+// far-resident object that turned decisively hot. Guest traps are
+// masked for the duration — the daemon models an agent outside the
 // program, and its migrations must not invoke guest trap code.
 func (d *Daemon) wake() {
 	if d.cfg.OneShot && d.fired {
@@ -521,23 +599,37 @@ func (d *Daemon) wake() {
 	d.inner.SetTrap(nil)
 	defer func() {
 		if d.ownHeat {
-			d.inner.SetTrap(d.trapTap)
+			d.inner.SetTrap(d.tap)
 		} else {
 			d.inner.SetTrap(d.guestTrap)
 		}
 		d.inWake = false
 	}()
 	d.stats.Wakes++
+	if n := d.al.Blocks(); n != d.nlive {
+		panic(fmt.Sprintf("tier: daemon tracks %d live blocks, allocator has %d "+
+			"(allocator event hook replaced after tier.New?)", d.nlive, n))
+	}
 
-	al := d.al
-	// Residency entries for objects freed since the last wake (timed
-	// or untimed — the allocator is the authority) release their tier
-	// bytes. Map iteration order is irrelevant: every dead entry is
-	// dropped unconditionally.
-	for base, r := range d.resident {
-		if !al.Live(base) {
-			d.dropResidency(base, r)
+	// Blocks freed since the last wake release their residency and
+	// ranking state now; the allocator is the authority on liveness.
+	for _, i := range d.dead {
+		if b := &d.blocks[i]; b.used && b.dead {
+			d.dropResidency(b)
+			d.release(i)
 		}
+	}
+	d.dead = d.dead[:0]
+	// Pinning is not an allocator event; arenas pin their backing block
+	// right after carving it, and a pinned block is never freed, so the
+	// flags need re-reading only when the allocator's pin count moved.
+	if n := d.al.Pins(); n != d.pins {
+		for i := range d.blocks {
+			if b := &d.blocks[i]; b.used {
+				b.pinned = d.al.Pinned(b.base)
+			}
+		}
+		d.pins = n
 	}
 
 	budget := d.budget()
@@ -546,63 +638,31 @@ func (d *Daemon) wake() {
 		maxMoves = d.cfg.TopK
 	}
 
-	// Score every live block by its access delta since the last wake
-	// (a OneShot pass sees lifetime totals — all it can know). The scan
-	// over the allocator's sorted live set keeps the pass deterministic.
-	type scored struct {
-		base  mem.Addr
-		score uint64
-		size  uint64
-		far   bool
-		known bool // the heat map tracks this block; score is evidence, not absence
-		idle  int  // consecutive zero-delta wakes
-	}
-	var cands []scored
+	// Rank every live block by its access delta since the last wake (a
+	// OneShot pass sees lifetime totals — all it can know), and list the
+	// far-resident ones hot enough to promote. The slab's order is
+	// immaterial: victims and promotions are ordered below.
 	var remorse int
-	live := al.LiveBlocks()
-	next := make(map[mem.Addr]tracker, len(live))
-	for _, base := range live {
-		var cur uint64
-		o, known := d.heat.Get(uint64(base))
-		if known {
-			cur = heatKey(o)
-		}
-		tr := d.track[base]
-		delta := cur - tr.last
-		if cur < tr.last {
-			// Decay epoch or identity reuse shrank the counter; the
-			// current value is the freshest signal there is.
-			delta = cur
-		}
-		idle := 0
-		if delta == 0 {
-			idle = tr.idle + 1
-		}
-		sc := tr.score/2 + delta
-		next[base] = tracker{last: cur, score: sc, idle: idle}
-		if al.Pinned(base) {
+	d.promos = d.promos[:0]
+	for i := range d.blocks {
+		b := &d.blocks[i]
+		if !b.used || b.dead {
 			continue
 		}
-		size, ok := al.SizeOf(base)
-		if !ok || size == 0 || size > d.cfg.MaxObjectBytes {
+		delta := d.rank(b)
+		if !d.movable(b) {
 			continue
 		}
-		r, isResident := d.resident[base]
-		far := isResident && r.tier > 0
 		// A block the daemon itself demoted (spills have moved == 0)
 		// showing fresh accesses is a caught mistake: it now pays a
 		// chain walk per touch that leaving it alone would not have.
-		if far && delta > 0 && d.moved[base] > 0 {
+		if delta > 0 && b.far() && b.moved > 0 {
 			remorse++
 		}
-		if d.moved[base] >= maxObjectMoves {
-			continue
+		if d.cfg.PromoteMin > 0 && b.far() && b.moved < maxObjectMoves && b.score >= d.cfg.PromoteMin {
+			d.promos = append(d.promos, promo{b.score, b.base, int32(i)})
 		}
-		cands = append(cands, scored{base, sc, size, far, known, idle})
 	}
-	// Swapping in the freshly built map prunes entries for blocks
-	// freed since the last wake.
-	d.track = next
 
 	// Self-tuning patience: while demotion mistakes keep surfacing,
 	// back off aggressively (the workload's re-touch cycle is longer
@@ -638,83 +698,119 @@ func (d *Daemon) wake() {
 
 	target := budget - uint64(float64(budget)*d.cfg.Headroom)
 	if d.nearLive() > target && (pressure > 0 || d.cfg.OneShot) {
-		// A block the heat map does not track is unknown, not cold —
-		// an evicted-but-hot block demoted on absence of evidence
-		// would pay a chain walk on every later access.
-		victims := make([]scored, 0, len(cands))
-		for _, c := range cands {
-			if !c.far && c.known && c.score == 0 && c.idle >= d.patience {
-				victims = append(victims, c)
-			}
-		}
-		sort.SliceStable(victims, func(i, j int) bool {
-			if victims[i].score != victims[j].score {
-				return victims[i].score < victims[j].score
-			}
-			return victims[i].base < victims[j].base
-		})
+		// Victims go coldest first; every victim's score is zero, so
+		// that is ascending address order — the table walk's order. A
+		// block the heat map does not track is unknown, not cold — an
+		// evicted-but-hot block demoted on absence of evidence would
+		// pay a chain walk on every later access.
 		moves := 0
-		for _, v := range victims {
+		slow := d.tiers.Slowest()
+		d.walk(func(i int32) bool {
 			if d.nearLive() <= target || moves >= maxMoves {
-				break
+				return false
 			}
-			if !d.migrate(v.base, v.size, d.tiers.Slowest()) {
-				break // window exhausted; no point trying further victims
+			b := &d.blocks[i]
+			if b.far() || !b.known || !d.movable(b) || b.moved >= maxObjectMoves ||
+				b.score != 0 || b.idle < d.patience {
+				return true
+			}
+			if !d.migrate(i, slow) {
+				return false // window exhausted; no point trying further victims
 			}
 			moves++
-		}
+			return true
+		})
 	}
 
 	// Promote: a far-resident object hot enough to clear PromoteMin
 	// since the last wake earns near-latency space from tier 0's
-	// window — if the budget has room for it.
-	if d.cfg.PromoteMin > 0 {
-		promos := make([]scored, 0, 8)
-		for _, c := range cands {
-			if c.far && c.score >= d.cfg.PromoteMin {
-				promos = append(promos, c)
-			}
+	// window — if the budget has room for it. Hottest first, ties by
+	// address.
+	slices.SortFunc(d.promos, func(x, y promo) int {
+		if x.score != y.score {
+			return cmp.Compare(y.score, x.score)
 		}
-		sort.SliceStable(promos, func(i, j int) bool {
-			if promos[i].score != promos[j].score {
-				return promos[i].score > promos[j].score
-			}
-			return promos[i].base < promos[j].base
-		})
-		moves := 0
-		for _, p := range promos {
-			if moves >= maxMoves {
-				break
-			}
-			if d.nearLive()+roundUp(p.size) > budget {
-				d.stats.SkippedBudget++
-				continue
-			}
-			if !d.migrate(p.base, p.size, 0) {
-				break
-			}
-			moves++
+		return cmp.Compare(x.base, y.base)
+	})
+	moves := 0
+	for _, p := range d.promos {
+		if moves >= maxMoves {
+			break
 		}
+		if d.nearLive()+roundUp(d.blocks[p.i].size) > budget {
+			d.stats.SkippedBudget++
+			continue
+		}
+		if !d.migrate(p.i, 0) {
+			break
+		}
+		moves++
 	}
 }
+
+// rank applies this wake's access delta to block b's ranking state.
+func (d *Daemon) rank(b *block) (delta uint64) {
+	var cur uint64
+	o := d.heat.Object(uint64(b.base))
+	b.known = o != nil
+	if b.known {
+		cur = heatKey(o)
+	}
+	delta = cur - b.last
+	if cur < b.last {
+		// Decay epoch or identity reuse shrank the counter; the
+		// current value is the freshest signal there is.
+		delta = cur
+	}
+	if delta == 0 {
+		b.idle++
+	} else {
+		b.idle = 0
+	}
+	b.score = b.score/2 + delta
+	b.last = cur
+	return delta
+}
+
+// movable reports whether policy may move block b at all.
+func (d *Daemon) movable(b *block) bool {
+	return !b.pinned && b.size != 0 && b.size <= d.cfg.MaxObjectBytes
+}
+
+// quiet reports whether the policy will never wake again (a OneShot
+// pass is done): ranking state is moot, and only residency, which
+// placement and Free still use, is kept.
+func (d *Daemon) quiet() bool { return d.cfg.OneShot && d.fired }
 
 func roundUp(n uint64) uint64 { return (n + mem.WordSize - 1) &^ uint64(mem.WordSize-1) }
 
-// dropResidency releases a dead object's window accounting.
-func (d *Daemon) dropResidency(base mem.Addr, r residency) {
-	d.tiers.Release(r.tier, r.bytes)
-	if r.tier > 0 {
-		d.farBytes -= r.bytes
+// vacate releases block b's window accounting.
+func (d *Daemon) vacate(b *block) {
+	if !b.resident {
+		return
 	}
-	delete(d.resident, base)
-	delete(d.moved, base)
+	d.tiers.Release(b.tier, b.resBytes)
+	if b.tier > 0 {
+		d.farBytes -= b.resBytes
+	}
+	b.resident, b.tier, b.resBytes = false, 0, 0
 }
 
-// migrate moves the object at base into tier's window through the
-// production two-phase commit, inheriting journaling and roll-forward
-// when a fault injector is installed. Returns false when the window is
-// exhausted (the caller's signal to stop for this wake).
-func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
+// dropResidency releases block b's window accounting and move count.
+func (d *Daemon) dropResidency(b *block) {
+	d.vacate(b)
+	if b.moved > 0 {
+		d.nmoved--
+		b.moved = 0
+	}
+}
+
+// migrate moves block i into tier's window through the production
+// two-phase commit, inheriting journaling and roll-forward when a fault
+// injector is installed. Returns false when the window is exhausted
+// (the caller's signal to stop for this wake).
+func (d *Daemon) migrate(i int32, tier int) bool {
+	base, size := d.blocks[i].base, d.blocks[i].size
 	words := int(size / mem.WordSize)
 	if words == 0 {
 		return true
@@ -732,17 +828,18 @@ func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
 		d.stats.Aborted++
 		return true
 	}
-	if prev, ok := d.resident[base]; ok {
-		d.tiers.Release(prev.tier, prev.bytes)
-		if prev.tier > 0 {
-			d.farBytes -= prev.bytes
-		}
-	}
-	d.resident[base] = residency{tier: tier, bytes: roundUp(size)}
+	// The relocation may have run guest-side scheduling points whose
+	// allocator events grew the slab: re-take the block.
+	b := &d.blocks[i]
+	d.vacate(b)
+	b.resident, b.tier, b.resBytes = true, tier, roundUp(size)
 	if tier > 0 {
 		d.farBytes += roundUp(size)
 	}
-	d.moved[base]++
+	if b.moved == 0 {
+		d.nmoved++
+	}
+	b.moved++
 	if tier == 0 {
 		d.stats.Promotions++
 		d.stats.PromotedBytes += size
@@ -751,6 +848,106 @@ func (d *Daemon) migrate(base mem.Addr, size uint64, tier int) bool {
 		d.stats.DemotedBytes += size
 	}
 	return true
+}
+
+// --- base index -------------------------------------------------------
+
+// slot returns the index word for base, creating its page if asked.
+func (d *Daemon) slot(base mem.Addr, create bool) *int32 {
+	pn := uint64(base >> mem.PageShift)
+	p := d.index.Get(pn)
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p, _ = d.index.Ensure(pn)
+	}
+	return &p[(base&(mem.PageBytes-1))>>mem.WordShift]
+}
+
+// blockAt returns the slab index of the block based at base, or -1.
+func (d *Daemon) blockAt(base mem.Addr) int32 {
+	if s := d.slot(base, false); s != nil {
+		return *s - 1
+	}
+	return -1
+}
+
+// walk calls fn with each block's slab index in ascending address
+// order, stopping when fn returns false.
+func (d *Daemon) walk(fn func(i int32) bool) {
+	d.index.Walk(func(_ uint64, p *basePage) bool {
+		for _, v := range p {
+			if v != 0 && !fn(v-1) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// onEvent is the allocator's event hook: the single identity channel
+// for every block, timed or untimed.
+func (d *Daemon) onEvent(op string, a mem.Addr, size uint64) {
+	switch op {
+	case "alloc":
+		i := d.allocated(a, size)
+		if a == d.placedAt {
+			b := &d.blocks[i]
+			b.resident, b.tier, b.resBytes = true, d.placedTier, d.placedBytes
+			d.placedAt = 0
+		}
+	case "free":
+		if i := d.blockAt(a); i >= 0 && !d.blocks[i].dead {
+			b := &d.blocks[i]
+			b.dead = true
+			d.nlive--
+			switch {
+			case !d.quiet():
+				d.dead = append(d.dead, i)
+			case !b.resident:
+				// No wake will rank or finalize it, and it holds no
+				// residency a reuse of its base could inherit.
+				d.release(i)
+			}
+		}
+	}
+}
+
+// allocated records a live block at base and returns its slab index:
+// a new block, or a freed one whose base the allocator reused before
+// the next wake, which keeps its ranking and residency state exactly
+// as a rescan of the live set would.
+func (d *Daemon) allocated(base mem.Addr, size uint64) int32 {
+	s := d.slot(base, true)
+	if i := *s - 1; i >= 0 {
+		b := &d.blocks[i]
+		if b.dead {
+			b.dead = false
+			d.nlive++
+		}
+		b.size = size
+		return i
+	}
+	var i int32
+	if n := len(d.free); n > 0 {
+		i = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		d.blocks = append(d.blocks, block{})
+		i = int32(len(d.blocks) - 1)
+	}
+	d.blocks[i] = block{base: base, size: size, used: true}
+	*s = i + 1
+	d.nlive++
+	return i
+}
+
+// release retires slab slot i and its index word.
+func (d *Daemon) release(i int32) {
+	*d.slot(d.blocks[i].base, false) = 0
+	d.blocks[i] = block{}
+	d.free = append(d.free, i)
 }
 
 // tryRelocate runs the two-phase commit; with a fault injector
@@ -852,7 +1049,7 @@ func (d *Daemon) PtrEqual(a, b mem.Addr) bool { return d.inner.PtrEqual(a, b) }
 func (d *Daemon) SetTrap(h core.TrapHandler) {
 	d.guestTrap = h
 	if d.ownHeat {
-		d.inner.SetTrap(d.trapTap)
+		d.inner.SetTrap(d.tap)
 		return
 	}
 	d.inner.SetTrap(h)
@@ -877,14 +1074,15 @@ func (d *Daemon) Malloc(n uint64) mem.Addr {
 	return a
 }
 
-// Free intercepts a deallocation: release residency, tick, delegate.
+// Free intercepts a deallocation: release residency and ranking
+// history, tick, delegate. A freed base may be recycled before the next
+// wake; stale heat history must not be charged to the newcomer.
 func (d *Daemon) Free(a mem.Addr) {
-	if r, ok := d.resident[a]; ok {
-		d.dropResidency(a, r)
+	if i := d.blockAt(a); i >= 0 {
+		b := &d.blocks[i]
+		d.dropResidency(b)
+		b.last, b.score, b.idle = 0, 0, 0
 	}
-	// A freed base may be recycled before the next wake; stale heat
-	// history must not be charged to the newcomer.
-	delete(d.track, a)
 	d.tick()
 	d.inner.Free(a)
 	if d.ownHeat {
